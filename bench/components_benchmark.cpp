@@ -557,12 +557,21 @@ BM_ProjectedGradientAcqStep(benchmark::State& state)
     pg.max_iters = 40;
     opt::ProjectedGradientOptimizer optimizer(blocks, dim, pg);
     std::vector<double> start(dim, 0.25);
+    // The controller's wiring: line-search trials through the one-row
+    // posterior, gradient probes through the GP probe panel.
+    auto objective = [&](const std::vector<double>& x) {
+        return ei.evaluate(gp, x, 0.6);
+    };
+    auto probes = [&](const std::vector<double>& x,
+                      const std::vector<size_t>& coords, double h,
+                      double* out) {
+        std::vector<double> mean(2 * coords.size()), var(mean.size());
+        gp.predictProbes(x, coords, h, mean.data(), var.data());
+        for (size_t t = 0; t < mean.size(); ++t)
+            out[t] = ei.fromPosterior(mean[t], var[t], 0.6);
+    };
     for (auto _ : state) {
-        auto r = optimizer.maximize(
-            [&](const std::vector<double>& x) {
-                return ei.evaluate(gp, x, 0.6);
-            },
-            start);
+        auto r = optimizer.maximize(objective, probes, start);
         benchmark::DoNotOptimize(r.value);
     }
 }

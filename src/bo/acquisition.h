@@ -36,29 +36,35 @@ class Acquisition
     virtual ~Acquisition() = default;
 
     /**
-     * Acquisition value at @p x.
+     * The acquisition's closed form at a point whose posterior is
+     * (@p mean, @p variance), given the incumbent best objective value
+     * x̂. This is the one place each acquisition's formula lives; the
+     * point-wise, batched and probe-panel paths all apply it to the
+     * posterior they read.
+     */
+    virtual double fromPosterior(double mean, double variance,
+                                 double incumbent) const = 0;
+
+    /**
+     * Acquisition value at @p x: fromPosterior of gp.predict(x).
      *
      * @param gp Fitted surrogate.
      * @param x Query point.
      * @param incumbent Best observed objective value x̂ so far.
      */
-    virtual double evaluate(const gp::GaussianProcess& gp,
-                            const linalg::Vector& x,
-                            double incumbent) const = 0;
+    double evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
+                    double incumbent) const;
 
     /**
      * Batched acquisition: out[i] = evaluate(gp, xs[begin+i],
-     * incumbent) for i < count, bit-identically (the batch-vs-scalar
-     * tests pin it). The base implementation loops the scalar
-     * evaluate(); EI/PI/UCB override it to run one
-     * GaussianProcess::predictBatch per block — amortizing the
-     * triangular solves into a single blocked TRSM — and then apply
-     * the closed form per candidate in the scalar operation order.
+     * incumbent) for i < count, bit-identically — one
+     * GaussianProcess::predictBatch per block (amortizing the
+     * triangular solves into a single blocked TRSM), then the closed
+     * form per candidate.
      */
-    virtual void evaluateBatch(const gp::GaussianProcess& gp,
-                               const std::vector<linalg::Vector>& xs,
-                               size_t begin, size_t count,
-                               double incumbent, double* out) const;
+    void evaluateBatch(const gp::GaussianProcess& gp,
+                       const std::vector<linalg::Vector>& xs, size_t begin,
+                       size_t count, double incumbent, double* out) const;
 
     /** Name for configuration/reporting. */
     virtual std::string name() const = 0;
@@ -104,12 +110,8 @@ class ExpectedImprovement : public Acquisition
      */
     explicit ExpectedImprovement(double zeta = 0.01);
 
-    double evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
-                    double incumbent) const override;
-    void evaluateBatch(const gp::GaussianProcess& gp,
-                       const std::vector<linalg::Vector>& xs, size_t begin,
-                       size_t count, double incumbent,
-                       double* out) const override;
+    double fromPosterior(double mean, double variance,
+                         double incumbent) const override;
     std::string name() const override { return "ei"; }
 
     /** The exploration factor ζ. */
@@ -127,12 +129,8 @@ class ProbabilityOfImprovement : public Acquisition
   public:
     explicit ProbabilityOfImprovement(double zeta = 0.01);
 
-    double evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
-                    double incumbent) const override;
-    void evaluateBatch(const gp::GaussianProcess& gp,
-                       const std::vector<linalg::Vector>& xs, size_t begin,
-                       size_t count, double incumbent,
-                       double* out) const override;
+    double fromPosterior(double mean, double variance,
+                         double incumbent) const override;
     std::string name() const override { return "pi"; }
 
   private:
@@ -147,12 +145,8 @@ class UpperConfidenceBound : public Acquisition
   public:
     explicit UpperConfidenceBound(double kappa = 2.0);
 
-    double evaluate(const gp::GaussianProcess& gp, const linalg::Vector& x,
-                    double incumbent) const override;
-    void evaluateBatch(const gp::GaussianProcess& gp,
-                       const std::vector<linalg::Vector>& xs, size_t begin,
-                       size_t count, double incumbent,
-                       double* out) const override;
+    double fromPosterior(double mean, double variance,
+                         double incumbent) const override;
     std::string name() const override { return "ucb"; }
 
   private:

@@ -410,6 +410,8 @@ AsyncFleetEngine::commit(TaskRec& rec)
     qos_history_.add(qosMetFraction());
     fleet_.scheduler_.recordNode(fleet_.snapshot(n));
     Fleet::Node& node = fleet_.nodes_[n];
+    if (node.reoptimized)
+        ++fleet_.reoptimizations_;
     if (fleet_.options_.shared_store && node.initialized &&
         node.server != nullptr)
         fleet_.store_.put(node.manager->makeCheckpoint());

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "bo/acquisition.h"
+#include "common/arena.h"
 #include "common/error.h"
 #include "common/log.h"
 #include "core/cadence.h"
@@ -620,29 +621,32 @@ CliteController::search(platform::SimulatedServer& server,
             return 0.5 *
                    std::erfc((mean - 0.5) / (sigma * std::sqrt(2.0)));
         };
-        auto acq_objective = [&](const std::vector<double>& x) {
-            double v = acquisition->evaluate(surrogate, x, incumbent_score);
+        auto acq_at = [&](double mean, double variance) {
+            double v = acquisition->fromPosterior(mean, variance,
+                                                  incumbent_score);
             if (!normalize_cost)
                 return v;
-            gp::Prediction p = surrogate.predict(x);
             return budget.costAwareAcquisition(
-                v, violate_prob(p.mean, p.variance));
+                v, violate_prob(mean, variance));
         };
-        // The 2d finite-difference probe points of each PG gradient go
-        // through the batched posterior in one predictBatch call;
-        // evaluateBatch is bit-identical to evaluate per point, so the
-        // controller trace is unchanged.
-        auto acq_batch = [&](const std::vector<std::vector<double>>& pts,
-                             double* out) {
-            acquisition->evaluateBatch(surrogate, pts, 0, pts.size(),
-                                       incumbent_score, out);
-            if (!normalize_cost)
-                return;
-            for (size_t i = 0; i < pts.size(); ++i) {
-                gp::Prediction p = surrogate.predict(pts[i]);
-                out[i] = budget.costAwareAcquisition(
-                    out[i], violate_prob(p.mean, p.variance));
-            }
+        auto acq_objective = [&](const std::vector<double>& x) {
+            gp::Prediction p = surrogate.predict(x);
+            return acq_at(p.mean, p.variance);
+        };
+        // The 2d finite-difference probes of each PG gradient come from
+        // one probe panel; it is bit-identical to predict() on each
+        // explicit probe, so the controller trace is unchanged.
+        auto acq_probes = [&](const std::vector<double>& x,
+                              const std::vector<size_t>& coords, double h,
+                              double* out) {
+            ScratchArena& arena = ScratchArena::forCurrentThread();
+            ScratchArena::Frame frame(arena);
+            const size_t count = 2 * coords.size();
+            double* mean = arena.doubles(count);
+            double* var = arena.doubles(count);
+            surrogate.predictProbes(x, coords, h, mean, var);
+            for (size_t t = 0; t < count; ++t)
+                out[t] = acq_at(mean[t], var[t]);
         };
 
         // Dead columns are held at the actually-programmed partition
@@ -694,7 +698,7 @@ CliteController::search(platform::SimulatedServer& server,
         }
 
         opt::PgResult acq =
-            optimizer.maximizeMultiStart(acq_objective, acq_batch, starts);
+            optimizer.maximizeMultiStart(acq_objective, acq_probes, starts);
 
         // Under cost-normalization acq.value is in useful-improvement-
         // per-second units (EI·(1−p)/E[cost]), and its maximizer is

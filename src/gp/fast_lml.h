@@ -36,7 +36,7 @@
  * Two identical implementations are compiled, one for the build's
  * baseline ISA and one for AVX2+FMA (#pragma GCC target), dispatched
  * at runtime. All arithmetic is element-wise, compiler contraction is
- * disabled for this translation unit (-ffp-contract=off), and the hot
+ * disabled project-wide (-ffp-contract=off), and the hot
  * loops fuse through an explicit correctly-rounded fma helper (one
  * vfmaddpd in the wide variant, libm fma in the baseline — the same
  * IEEE value either way), so the variants are bit-identical to each

@@ -363,19 +363,10 @@ GaussianProcess::predict(const linalg::Vector& x) const
     CLITE_CHECK(x.size() == kernel_->dims(),
                 "predict input of dim " << x.size() << ", kernel expects "
                                         << kernel_->dims());
-    const size_t n = x_.size();
-    linalg::Vector kstar(n);
-    for (size_t i = 0; i < n; ++i)
-        kstar[i] = (*kernel_)(x, x_[i]);
-
-    double mean_s = linalg::dot(kstar, alpha_);
-    linalg::Vector v = chol_->solveLower(kstar);
-    double var_s = (*kernel_)(x, x) - linalg::dot(v, v);
-    var_s = std::max(0.0, var_s);
-
+    // A one-row batch: the dimension-major pack of a single candidate
+    // is the candidate itself.
     Prediction p;
-    p.mean = destandardizeMean(mean_s);
-    p.variance = destandardizeVar(var_s);
+    predictPacked(x.data(), 1, &p.mean, &p.variance);
     return p;
 }
 
@@ -390,7 +381,6 @@ GaussianProcess::predictBatch(const std::vector<linalg::Vector>& xs,
                                        << ") out of " << xs.size());
     if (count == 0)
         return;
-    const size_t n = x_.size();
     const size_t d = kernel_->dims();
     for (size_t c = 0; c < count; ++c)
         CLITE_CHECK(xs[begin + c].size() == d,
@@ -410,19 +400,141 @@ GaussianProcess::predictBatch(const std::vector<linalg::Vector>& xs,
         for (size_t k = 0; k < d; ++k)
             soa[k * count + c] = x[k];
     }
-    // Length-scales materialized once per block — the scalar path
-    // recomputes exp(log ℓ_d) per pair; exp is deterministic, so the
-    // hoisted values divide out identically.
+    predictPacked(soa, count, means, variances);
+}
+
+void
+GaussianProcess::predictPacked(const double* soa, size_t count,
+                               double* means, double* variances) const
+{
+    const size_t n = x_.size();
+    const size_t d = kernel_->dims();
+    ScratchArena& arena = ScratchArena::forCurrentThread();
+    ScratchArena::Frame frame(arena);
+
+    // Length-scales materialized once per call; exp is deterministic,
+    // so every pair divides by the value Kernel::operator() computes.
     double* ls = arena.doubles(d);
     for (size_t k = 0; k < d; ++k)
         ls[k] = kernel_->lengthscale(k);
 
+    // Scaled distances, row i against training point x_i: dimensions
+    // ascending, each divided by the materialized length-scale — per
+    // candidate the operation sequence of Kernel::operator().
+    double* r = arena.doubles(n * count);
+    for (size_t i = 0; i < n; ++i) {
+        const double* xi = x_[i].data();
+        double* ri = r + i * count;
+        for (size_t c = 0; c < count; ++c)
+            ri[c] = 0.0;
+        for (size_t k = 0; k < d; ++k) {
+            const double* col = soa + k * count;
+            const double xk = xi[k];
+            const double lk = ls[k];
+            for (size_t c = 0; c < count; ++c) {
+                double diff = (col[c] - xk) / lk;
+                ri[c] += diff * diff;
+            }
+        }
+        for (size_t c = 0; c < count; ++c)
+            ri[c] = std::sqrt(ri[c]);
+    }
     // Cross-covariance panel: row i holds k(cand_c, x_i) for all c.
     double* panel = arena.doubles(n * count);
-    double* r_scratch = arena.doubles(count);
+    kernel_->fromScaledDistanceBatch(r, panel, n * count);
+    posteriorFromPanel(panel, count, means, variances);
+}
+
+void
+GaussianProcess::predictProbes(const linalg::Vector& x,
+                               const std::vector<size_t>& coords, double h,
+                               double* means, double* variances) const
+{
+    CLITE_CHECK(fitted(), "predictProbes called before fit");
+    const size_t d = kernel_->dims();
+    CLITE_CHECK(x.size() == d, "predictProbes input of dim "
+                                   << x.size() << ", kernel expects " << d);
+    for (size_t c : coords)
+        CLITE_CHECK(c < d, "probe coordinate " << c << " out of " << d);
+    const size_t count = 2 * coords.size();
+    if (count == 0)
+        return;
+    const size_t n = x_.size();
+
+    ScratchArena& arena = ScratchArena::forCurrentThread();
+    ScratchArena::Frame frame(arena);
+    double* ls = arena.doubles(d);
+    for (size_t k = 0; k < d; ++k)
+        ls[k] = kernel_->lengthscale(k);
+
+    // x's squared scaled differences to every training point and
+    // their running sums, dimension-major: prefix[k*n + i] is the
+    // distance accumulator after dimensions 0..k-1, exactly as
+    // predictPacked holds it for x before dimension k.
+    double* xt = arena.doubles(d * n); // training inputs, dim-major
     for (size_t i = 0; i < n; ++i)
-        kernel_->crossCovarianceRow(soa, count, x_[i].data(), ls,
-                                    r_scratch, panel + i * count);
+        for (size_t k = 0; k < d; ++k)
+            xt[k * n + i] = x_[i][k];
+    double* term = arena.doubles(d * n);
+    double* prefix = arena.doubles(d * n);
+    for (size_t k = 0; k < d; ++k) {
+        const double* xk = xt + k * n;
+        double* tk = term + k * n;
+        for (size_t i = 0; i < n; ++i) {
+            double diff = (x[k] - xk[i]) / ls[k];
+            tk[i] = diff * diff;
+        }
+    }
+    for (size_t i = 0; i < n; ++i)
+        prefix[i] = 0.0;
+    for (size_t k = 1; k < d; ++k)
+        for (size_t i = 0; i < n; ++i)
+            prefix[k * n + i] =
+                prefix[(k - 1) * n + i] + term[(k - 1) * n + i];
+
+    // A probe differs from x only in coordinate c: its accumulator is
+    // x's prefix up to c, then the probe's own term, then x's terms of
+    // the later dimensions in ascending order — the operation sequence
+    // of predictPacked on the explicit probe vector, one division
+    // per training point instead of d. Rows are probe-major here.
+    double* r = arena.doubles(count * n);
+    for (size_t t = 0; t < count; ++t) {
+        const size_t c = coords[t / 2];
+        const double v = t % 2 == 0 ? x[c] + h : x[c] - h;
+        const double* pc = prefix + c * n;
+        const double* xc = xt + c * n;
+        double* rt = r + t * n;
+        for (size_t i = 0; i < n; ++i) {
+            double diff = (v - xc[i]) / ls[c];
+            rt[i] = pc[i] + diff * diff;
+        }
+        for (size_t k = c + 1; k < d; ++k) {
+            const double* tk = term + k * n;
+            for (size_t i = 0; i < n; ++i)
+                rt[i] += tk[i];
+        }
+        for (size_t i = 0; i < n; ++i)
+            rt[i] = std::sqrt(rt[i]);
+    }
+    double* kt = arena.doubles(count * n);
+    kernel_->fromScaledDistanceBatch(r, kt, count * n);
+
+    // Transpose into the candidate-minor panel the shared posterior
+    // tail expects (row i = training point i).
+    double* panel = arena.doubles(n * count);
+    for (size_t t = 0; t < count; ++t)
+        for (size_t i = 0; i < n; ++i)
+            panel[i * count + t] = kt[t * n + i];
+    posteriorFromPanel(panel, count, means, variances);
+}
+
+void
+GaussianProcess::posteriorFromPanel(double* panel, size_t count,
+                                    double* means, double* variances) const
+{
+    const size_t n = x_.size();
+    ScratchArena& arena = ScratchArena::forCurrentThread();
+    ScratchArena::Frame frame(arena);
 
     // Posterior mean: k*ᵀα, i ascending exactly like linalg::dot.
     double* mean_s = arena.doubles(count);
@@ -432,9 +544,8 @@ GaussianProcess::predictBatch(const std::vector<linalg::Vector>& xs,
     linalg::solveLowerPanel(chol_->lowerData(), chol_->stride(),
                             chol_->size(), panel, count);
 
-    // Posterior variance: k(x,x) − ‖L⁻¹k*‖² per candidate. The scalar
-    // path evaluates the kernel at distance 0 for the diagonal; that
-    // is one deterministic value, hoisted.
+    // Posterior variance: k(x,x) − ‖L⁻¹k*‖² per candidate; the prior
+    // variance is the kernel at distance 0.
     double* vv = arena.doubles(count);
     linalg::panelColumnSquaredNorms(panel, n, count, vv);
     const double diag = kernel_->fromScaledDistance(0.0);

@@ -153,9 +153,9 @@ class GaussianProcess
     double noiseVariance() const { return noise_variance_; }
 
     /**
-     * Posterior prediction at @p x. Read-only and safe to call
-     * concurrently from multiple threads on the same fitted model
-     * (the parallel acquisition path relies on this).
+     * Posterior prediction at @p x: a one-row predictBatch, so the two
+     * agree bit for bit by construction. Read-only and safe to call
+     * concurrently from multiple threads on the same fitted model.
      * @pre fitted()
      */
     Prediction predict(const linalg::Vector& x) const;
@@ -163,26 +163,42 @@ class GaussianProcess
     /**
      * Batched posterior: means[i] / variances[i] for the candidates
      * xs[begin .. begin+count). One call evaluates the whole block —
-     * the cross-covariance panel is filled row by row from a
-     * structure-of-arrays pack of the block (Kernel::
-     * crossCovarianceRow), the B triangular solves collapse into one
+     * the cross-covariance panel is filled from a structure-of-arrays
+     * pack of the block with one Kernel::fromScaledDistanceBatch call,
+     * the B triangular solves collapse into one
      * blocked panel substitution (linalg::solveLowerPanel), and the
      * mean/variance reductions run across the panel. Every candidate's
-     * accumulation order matches the scalar path exactly, so
-     *
-     *     predictBatch(xs, b, c, m, v)  ≡  predict(xs[b+i])  ∀i
-     *
-     * bit for bit (tests/gp/gp_batch_test.cpp pins this across all
-     * kernels and ragged block sizes; the %.17g posterior golden stays
-     * byte-identical). Workspace comes from the calling thread's
-     * ScratchArena, so steady-state rounds are allocation-free, and
-     * like predict() this is safe to call concurrently.
+     * result is independent of the block it rides in (tests/gp/
+     * gp_batch_test.cpp pins this across all kernels and ragged block
+     * sizes; the %.17g posterior golden stays byte-identical).
+     * Workspace comes from the calling thread's ScratchArena, so
+     * steady-state rounds are allocation-free, and like predict() this
+     * is safe to call concurrently.
      *
      * @pre fitted(); every xs[i] in range has kernel().dims() entries.
      */
     void predictBatch(const std::vector<linalg::Vector>& xs, size_t begin,
                       size_t count, double* means,
                       double* variances) const;
+
+    /**
+     * Posterior at the central-difference probes of @p x: for each
+     * coords[t], entry 2t is the point x + h·e_c and entry 2t+1 the
+     * point x − h·e_c (coordinate value x[c] ± h, every other
+     * coordinate as in x). The results equal predictBatch over those
+     * explicitly built probe vectors bit for bit: a probe's scaled
+     * distance to a training point reuses x's running sum up to c,
+     * adds the probe's own term, then x's later terms in ascending
+     * order — the same operation sequence, with one division per
+     * training point instead of d. The panel then runs through the
+     * same mean, TRSM and variance tail as predictBatch.
+     *
+     * @param means, variances Outputs of 2·coords.size() entries.
+     * @pre fitted(); x has kernel().dims() entries; coords index them.
+     */
+    void predictProbes(const linalg::Vector& x,
+                       const std::vector<size_t>& coords, double h,
+                       double* means, double* variances) const;
 
     /** Convenience: batched posterior over all of @p xs. */
     std::vector<Prediction>
@@ -224,6 +240,29 @@ class GaussianProcess
     void clearWarmStart();
 
   private:
+    /**
+     * The element-at-a-time posterior (Kernel::operator() per training
+     * point, Cholesky::solveLower, k(x,x)) that tests/gp/
+     * gp_batch_test.cpp holds the batched and probe paths to, bit for
+     * bit; it reads the fitted factor, α and standardization.
+     */
+    friend struct ScalarPosteriorReference;
+
+    /**
+     * Posterior of @p count candidates packed dimension-major in
+     * @p soa (dimension k at soa[k*count .. k*count+count)).
+     */
+    void predictPacked(const double* soa, size_t count, double* means,
+                       double* variances) const;
+
+    /**
+     * Shared posterior tail: mean k*ᵀα, one blocked TRSM over the
+     * cross-covariance @p panel (n rows × @p count, overwritten), then
+     * the prior-minus-norm variance, destandardized.
+     */
+    void posteriorFromPanel(double* panel, size_t count, double* means,
+                            double* variances) const;
+
     /** Rebuild the Cholesky and α for current data + hyper-parameters. */
     void refit();
 

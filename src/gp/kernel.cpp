@@ -94,32 +94,6 @@ Kernel::fromScaledDistanceBatch(const double* r, double* out,
         out[i] = fromScaledDistance(r[i]);
 }
 
-void
-Kernel::crossCovarianceRow(const double* cand_soa, size_t count,
-                           const double* xi, const double* ls,
-                           double* r_scratch, double* out) const
-{
-    // Scaled distance, dimensions in ascending order and divided by
-    // the same materialized exp(log ℓ_d) the scalar path divides by —
-    // per candidate this is the exact operation sequence of
-    // scaledDistance(cand, xi).
-    for (size_t c = 0; c < count; ++c)
-        r_scratch[c] = 0.0;
-    const size_t d_count = dims();
-    for (size_t d = 0; d < d_count; ++d) {
-        const double* col = cand_soa + d * count;
-        const double xd = xi[d];
-        const double ld = ls[d];
-        for (size_t c = 0; c < count; ++c) {
-            double diff = (col[c] - xd) / ld;
-            r_scratch[c] += diff * diff;
-        }
-    }
-    for (size_t c = 0; c < count; ++c)
-        r_scratch[c] = std::sqrt(r_scratch[c]);
-    fromScaledDistanceBatch(r_scratch, out, count);
-}
-
 double
 Kernel::scaledDistance(const linalg::Vector& a, const linalg::Vector& b) const
 {

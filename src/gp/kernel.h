@@ -54,33 +54,11 @@ class Kernel
      * i < count, bit-identical to @p count scalar calls. Overridden by
      * every concrete kernel with a branch-free loop that hoists σ_f²
      * out of the loop (exp is deterministic, so the hoisted value is
-     * the one each scalar call recomputes) — the inner loop of the
-     * batched posterior's cross-covariance panel.
+     * the one each scalar call recomputes) — it fills the batched
+     * posterior's whole cross-covariance panel in one call.
      */
     virtual void fromScaledDistanceBatch(const double* r, double* out,
                                          size_t count) const;
-
-    /**
-     * One row of the cross-covariance panel of a candidate block:
-     * out[c] = k(cand_c, xi) for every candidate of the block, where
-     * the block is stored structure-of-arrays (@p cand_soa, dim-major:
-     * dimension d occupies cand_soa[d*count .. d*count+count)). The
-     * scaled distance accumulates in ascending dimension order with a
-     * division by the same materialized length-scale the scalar path
-     * divides by, so every element is bit-identical to
-     * operator()(cand_c, xi).
-     *
-     * @param cand_soa Candidate block, SoA layout, dims() x count.
-     * @param count Candidates in the block.
-     * @param xi One training point (dims() values).
-     * @param ls Materialized per-dimension length-scales
-     *     (lengthscales() of this kernel).
-     * @param r_scratch Workspace of count doubles.
-     * @param out Covariances, count values.
-     */
-    void crossCovarianceRow(const double* cand_soa, size_t count,
-                            const double* xi, const double* ls,
-                            double* r_scratch, double* out) const;
 
     /** All per-dimension length-scales materialized (exp applied). */
     std::vector<double> lengthscales() const;

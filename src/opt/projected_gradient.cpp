@@ -24,6 +24,7 @@ ProjectedGradientOptimizer::ProjectedGradientOptimizer(
             CLITE_CHECK(!covered[idx],
                         "coordinate " << idx << " in two blocks");
             covered[idx] = true;
+            coords_.push_back(idx);
         }
         CLITE_CHECK(simplexBoxFeasible(b.total, b.lo, b.hi),
                     "infeasible simplex block with total " << b.total);
@@ -47,54 +48,35 @@ ProjectedGradientOptimizer::project(const std::vector<double>& y) const
     return x;
 }
 
+ProjectedGradientOptimizer::ProbeEvaluator
+ProjectedGradientOptimizer::scalarProbes(const Objective& f)
+{
+    return [f](const std::vector<double>& x,
+                const std::vector<size_t>& coords, double h, double* out) {
+        std::vector<double> xp = x;
+        for (size_t t = 0; t < coords.size(); ++t) {
+            const size_t idx = coords[t];
+            xp[idx] = x[idx] + h;
+            out[2 * t] = f(xp);
+            xp[idx] = x[idx] - h;
+            out[2 * t + 1] = f(xp);
+            xp[idx] = x[idx];
+        }
+    };
+}
+
 std::vector<double>
-ProjectedGradientOptimizer::gradient(const Objective& f,
-                                     const BatchObjective* fb,
+ProjectedGradientOptimizer::gradient(const ProbeEvaluator& probes,
                                      const std::vector<double>& x,
                                      int* evals) const
 {
     std::vector<double> g(dimension_, 0.0);
     const double h = options_.fd_step;
-
-    if (fb != nullptr) {
-        // Gather every x ± h probe of this gradient and score them in
-        // one batched call. Each probe vector holds exactly the values
-        // the scalar path would pass to f, and the batch objective is
-        // value-identical to f per the BatchObjective contract, so
-        // g is bit-identical to the scalar branch below.
-        std::vector<std::vector<double>> probes;
-        std::vector<size_t> probe_idx;
-        for (const auto& b : blocks_) {
-            for (size_t idx : b.indices) {
-                probes.push_back(x);
-                probes.back()[idx] = x[idx] + h;
-                probes.push_back(x);
-                probes.back()[idx] = x[idx] - h;
-                probe_idx.push_back(idx);
-            }
-        }
-        std::vector<double> vals(probes.size(), 0.0);
-        if (!probes.empty())
-            (*fb)(probes, vals.data());
-        for (size_t t = 0; t < probe_idx.size(); ++t)
-            g[probe_idx[t]] = (vals[2 * t] - vals[2 * t + 1]) / (2.0 * h);
-        *evals += int(probes.size());
-        return g;
-    }
-
-    std::vector<double> xp = x;
-    for (const auto& b : blocks_) {
-        for (size_t idx : b.indices) {
-            double orig = xp[idx];
-            xp[idx] = orig + h;
-            double fp = f(xp);
-            xp[idx] = orig - h;
-            double fm = f(xp);
-            xp[idx] = orig;
-            g[idx] = (fp - fm) / (2.0 * h);
-            *evals += 2;
-        }
-    }
+    std::vector<double> vals(2 * coords_.size(), 0.0);
+    probes(x, coords_, h, vals.data());
+    for (size_t t = 0; t < coords_.size(); ++t)
+        g[coords_[t]] = (vals[2 * t] - vals[2 * t + 1]) / (2.0 * h);
+    *evals += int(vals.size());
     return g;
 }
 
@@ -102,12 +84,12 @@ PgResult
 ProjectedGradientOptimizer::maximize(const Objective& f,
                                      const std::vector<double>& x0) const
 {
-    return maximize(f, BatchObjective(), x0);
+    return maximize(f, scalarProbes(f), x0);
 }
 
 PgResult
 ProjectedGradientOptimizer::maximize(const Objective& f,
-                                     const BatchObjective& fb,
+                                     const ProbeEvaluator& probes,
                                      const std::vector<double>& x0) const
 {
     PgResult result;
@@ -117,8 +99,7 @@ ProjectedGradientOptimizer::maximize(const Objective& f,
 
     for (int iter = 0; iter < options_.max_iters; ++iter) {
         result.iterations = iter + 1;
-        std::vector<double> g =
-            gradient(f, fb ? &fb : nullptr, x, &result.evaluations);
+        std::vector<double> g = gradient(probes, x, &result.evaluations);
 
         // Backtracking along the projected arc: x(t) = P(x + t g).
         double step = options_.initial_step;
@@ -152,19 +133,19 @@ ProjectedGradientOptimizer::maximizeMultiStart(
     const Objective& f,
     const std::vector<std::vector<double>>& starts) const
 {
-    return maximizeMultiStart(f, BatchObjective(), starts);
+    return maximizeMultiStart(f, scalarProbes(f), starts);
 }
 
 PgResult
 ProjectedGradientOptimizer::maximizeMultiStart(
-    const Objective& f, const BatchObjective& fb,
+    const Objective& f, const ProbeEvaluator& probes,
     const std::vector<std::vector<double>>& starts) const
 {
     CLITE_CHECK(!starts.empty(), "maximizeMultiStart needs >= 1 start");
     PgResult best;
     bool first = true;
     for (const auto& s : starts) {
-        PgResult r = maximize(f, fb, s);
+        PgResult r = maximize(f, probes, s);
         if (first || r.value > best.value) {
             int evals = (first ? 0 : best.evaluations) + r.evaluations;
             int iters = (first ? 0 : best.iterations) + r.iterations;

@@ -7,10 +7,18 @@
  * to per-resource bounds (Eq. 5) and per-resource sum equalities
  * (Eq. 6). The feasible set factorizes into one simplex-box block per
  * resource, so projected gradient with the exact projection of
- * opt/simplex.h solves the same constrained program. Gradients are
- * central finite differences (the acquisition has no closed-form
- * gradient through the GP without extra plumbing), with a backtracking
- * (Armijo) line search along the projected arc.
+ * opt/simplex.h solves the same constrained program.
+ *
+ * Gradients are central finite differences over the block coordinates,
+ * with a backtracking (Armijo) line search along the projected arc.
+ * Every gradient asks one ProbeEvaluator for f at all 2d probes
+ * x ± h·e_i at once. The default evaluator, built from the scalar
+ * objective, visits the probes one by one; CLITE passes a
+ * GaussianProcess probe panel (GaussianProcess::predictProbes), which
+ * returns the same doubles because each probe shares all but one
+ * coordinate with x. Either way one gradient routine runs, so a probe
+ * evaluator that matches f value for value leaves the whole ascent
+ * bit-identical.
  */
 
 #ifndef CLITE_OPT_PROJECTED_GRADIENT_H
@@ -63,15 +71,23 @@ class ProjectedGradientOptimizer
     using Objective = std::function<double(const std::vector<double>&)>;
 
     /**
-     * Batched objective: write f(points[i]) into out[i] for every
-     * point. Must be value-identical to the scalar Objective on each
-     * point — the solver mixes the two (batched finite-difference
-     * probes, scalar line-search trials) and the bit-exact trace
-     * contract only holds when they agree to the last ULP, as the
-     * acquisition evaluateBatch/evaluate pair does.
+     * Probe evaluator: for each coords[t], write f(x + h·e_c) into
+     * out[2t] and f(x − h·e_c) into out[2t+1], where the probe's
+     * coordinate c holds x[c] + h (resp. x[c] − h) and every other
+     * coordinate equals x. It must agree with the scalar Objective
+     * value for value: the solver scores gradient probes through it
+     * and line-search trials through f.
      */
-    using BatchObjective = std::function<void(
-        const std::vector<std::vector<double>>&, double*)>;
+    using ProbeEvaluator =
+        std::function<void(const std::vector<double>& x,
+                           const std::vector<size_t>& coords, double h,
+                           double* out)>;
+
+    /**
+     * The default probe evaluator: calls (a copy of) @p f once per
+     * probe, in order, on x with one coordinate moved.
+     */
+    static ProbeEvaluator scalarProbes(const Objective& f);
 
     /**
      * @param blocks Disjoint blocks covering (a subset of) the
@@ -87,7 +103,8 @@ class ProjectedGradientOptimizer
     std::vector<double> project(const std::vector<double>& y) const;
 
     /**
-     * Run projected-gradient ascent from @p x0 (projected first).
+     * Run projected-gradient ascent from @p x0 (projected first), with
+     * gradient probes from scalarProbes(f).
      *
      * @param f Objective to maximize; must be finite on the feasible set.
      * @param x0 Starting point (any point; it is projected).
@@ -95,14 +112,8 @@ class ProjectedGradientOptimizer
     PgResult maximize(const Objective& f,
                       const std::vector<double>& x0) const;
 
-    /**
-     * As maximize(f, x0), but the 2d finite-difference probe points of
-     * each gradient are evaluated through @p fb in one call instead of
-     * 2d scalar calls — for objectives with a batched fast path (the
-     * GP acquisition via predictBatch). Results are bit-identical to
-     * the scalar overload whenever fb matches f value-for-value.
-     */
-    PgResult maximize(const Objective& f, const BatchObjective& fb,
+    /** As maximize(f, x0), with gradient probes from @p probes. */
+    PgResult maximize(const Objective& f, const ProbeEvaluator& probes,
                       const std::vector<double>& x0) const;
 
     /**
@@ -114,22 +125,19 @@ class ProjectedGradientOptimizer
         const Objective& f,
         const std::vector<std::vector<double>>& starts) const;
 
-    /** Multi-start with batched gradient probes (see maximize overload). */
+    /** Multi-start with gradient probes from @p probes. */
     PgResult maximizeMultiStart(
-        const Objective& f, const BatchObjective& fb,
+        const Objective& f, const ProbeEvaluator& probes,
         const std::vector<std::vector<double>>& starts) const;
 
   private:
-    /**
-     * Central-difference gradient restricted to block coordinates;
-     * probes go through @p fb when non-null, else through @p f.
-     */
-    std::vector<double> gradient(const Objective& f,
-                                 const BatchObjective* fb,
+    /** Central-difference gradient over the block coordinates. */
+    std::vector<double> gradient(const ProbeEvaluator& probes,
                                  const std::vector<double>& x,
                                  int* evals) const;
 
     std::vector<SimplexBlock> blocks_;
+    std::vector<size_t> coords_; ///< Block coordinates, block order.
     size_t dimension_;
     PgOptions options_;
 };

@@ -33,6 +33,8 @@ projectSimplexBox(const std::vector<double>& y, double total,
                                         << hi[i] << "]");
     CLITE_CHECK(simplexBoxFeasible(total, lo, hi),
                 "simplex-box constraint set is empty for total " << total);
+    if (n == 0)
+        return {};
 
     auto sum_at = [&](double tau) {
         double s = 0.0;
@@ -41,23 +43,53 @@ projectSimplexBox(const std::vector<double>& y, double total,
         return s;
     };
 
-    // Bracket tau: at tau_lo every coordinate is at hi, at tau_hi at lo.
-    double tau_lo = -1.0, tau_hi = 1.0;
+    // Breakpoints of the piecewise-linear, non-increasing sum_at:
+    // coordinate i sits at hi_i for tau <= y_i - hi_i, at lo_i for
+    // tau >= y_i - lo_i, and is free (slope -1) in between. Between
+    // consecutive breakpoints the free set is fixed, so the root lies on
+    // the first segment whose right end no longer exceeds the total.
+    std::vector<double> bp(2 * n);
     for (size_t i = 0; i < n; ++i) {
-        tau_lo = std::min(tau_lo, y[i] - hi[i] - 1.0);
-        tau_hi = std::max(tau_hi, y[i] - lo[i] + 1.0);
+        bp[2 * i] = y[i] - hi[i];
+        bp[2 * i + 1] = y[i] - lo[i];
     }
-    // sum_at is non-increasing in tau; bisect to the target total.
-    for (int it = 0; it < 200; ++it) {
-        double mid = 0.5 * (tau_lo + tau_hi);
-        if (sum_at(mid) > total)
-            tau_lo = mid;
-        else
-            tau_hi = mid;
-        if (tau_hi - tau_lo < 1e-14 * (1.0 + std::fabs(tau_hi)))
-            break;
+    std::sort(bp.begin(), bp.end());
+    // Each clamp is monotone in tau and so is the fixed-order sum, so
+    // the computed sum_at is non-increasing too: partition_point applies.
+    const auto right = std::partition_point(
+        bp.begin(), bp.end(), [&](double p) { return sum_at(p) > total; });
+    double tau;
+    if (right == bp.begin()) {
+        tau = bp.front(); // total >= Σ hi: every coordinate at hi
+    } else if (right == bp.end()) {
+        tau = bp.back(); // total <= Σ lo (within tolerance): all at lo
+    } else {
+        // sum_at(a) > total >= sum_at(b) on [a, b]; no breakpoint lies
+        // strictly inside, so each coordinate is pinned or free on the
+        // whole segment and sum_at(tau) = pinned + Σ_free y_i − |free|·tau.
+        const double a = *(right - 1), b = *right;
+        double pinned = 0.0, free_y = 0.0;
+        size_t free_count = 0;
+        for (size_t i = 0; i < n; ++i) {
+            if (y[i] - hi[i] >= b) {
+                pinned += hi[i];
+            } else if (y[i] - lo[i] <= a) {
+                pinned += lo[i];
+            } else {
+                free_y += y[i];
+                ++free_count;
+            }
+        }
+        // No free coordinate: the segment is flat and sum_at differs
+        // across it only by the rounding of y_i − τ at a pinned
+        // coordinate's own breakpoint, so every τ on it gives the same
+        // point up to that rounding.
+        tau = free_count == 0
+                  ? b
+                  : std::clamp((pinned + free_y - total) /
+                                   double(free_count),
+                               a, b);
     }
-    double tau = 0.5 * (tau_lo + tau_hi);
 
     std::vector<double> x(n);
     for (size_t i = 0; i < n; ++i)

@@ -27,10 +27,12 @@ bool simplexBoxFeasible(double total, const std::vector<double>& lo,
 /**
  * Euclidean projection of @p y onto {x : Σ x = total, lo <= x <= hi}.
  *
- * Solved by bisection on the KKT multiplier τ of the equality
- * constraint: x_i(τ) = clamp(y_i − τ, lo_i, hi_i) is monotone
- * non-increasing in τ, so the root of Σ x_i(τ) = total is found to
- * machine precision.
+ * Solved exactly for the KKT multiplier τ of the equality constraint:
+ * x_i(τ) = clamp(y_i − τ, lo_i, hi_i) makes Σ x_i(τ) piecewise linear
+ * and non-increasing in τ with breakpoints y_i − hi_i and y_i − lo_i.
+ * The 2n breakpoints are sorted, the segment on which the sum crosses
+ * @p total is found by binary search, and τ is solved on it linearly —
+ * O(n log n) with no iteration tolerance.
  *
  * @param y Point to project.
  * @param total Required coordinate sum.

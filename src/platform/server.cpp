@@ -60,9 +60,7 @@ SimulatedServer::SimulatedServer(
     for (const auto& spec : config_.resources())
         drivers_.push_back(makeDriver(spec));
 
-    iso_cache_value_.assign(jobs_.size(), 0.0);
-    iso_cache_load_.assign(jobs_.size(), -1.0);
-    iso_cache_valid_.assign(jobs_.size(), false);
+    resetIsolationCache();
 
     // Start from the equal-share partition, as an operator would.
     apply(Allocation::equalShare(jobs_.size(), config_));
@@ -188,12 +186,23 @@ SimulatedServer::currentAllocation() const
     return *current_;
 }
 
+void
+SimulatedServer::resetIsolationCache()
+{
+    // A baseline gives job j everything but one unit per co-runner, so
+    // it depends on how many jobs share the server: an arrival or a
+    // departure invalidates every entry. Keeping an entry across one
+    // would make a job's baseline depend on the job count at whichever
+    // observation happened to fill it first.
+    iso_cache_value_.assign(jobs_.size(), 0.0);
+    iso_cache_load_.assign(jobs_.size(), -1.0); // no load is negative
+}
+
 workloads::JobMeasurement
 SimulatedServer::isolationBaseline(size_t j) const
 {
     CLITE_CHECK(j < jobs_.size(), "job " << j << " out of " << jobs_.size());
-    if (!iso_cache_valid_[j] ||
-        iso_cache_load_[j] != jobs_[j].load_fraction) {
+    if (iso_cache_load_[j] != jobs_[j].load_fraction) {
         // Max-allocation extremum: job j gets everything except one
         // unit per other job (the bootstrap sample of Sec. 4).
         Allocation iso = Allocation::maxFor(j, jobs_.size(), config_);
@@ -206,7 +215,6 @@ SimulatedServer::isolationBaseline(size_t j) const
         iso_cache_value_[j] = jobs_[j].isLatencyCritical() ? m.p95_ms
                                                            : m.throughput;
         iso_cache_load_[j] = jobs_[j].load_fraction;
-        iso_cache_valid_[j] = true;
     }
     workloads::JobMeasurement m;
     if (jobs_[j].isLatencyCritical())
@@ -441,9 +449,7 @@ SimulatedServer::addJob(const workloads::JobSpec& job)
                                 << " cannot give " << jobs_.size() + 1
                                 << " jobs one unit each");
     jobs_.push_back(job);
-    iso_cache_value_.push_back(0.0);
-    iso_cache_load_.push_back(-1.0);
-    iso_cache_valid_.push_back(false);
+    resetIsolationCache();
     // Slot reconfiguration is an offline operation: it bypasses fault
     // injection so drivers, current_ and jobs_ never disagree on shape.
     applyInternal(Allocation::equalShare(jobs_.size(), config_));
@@ -461,9 +467,7 @@ SimulatedServer::removeJob(size_t j)
     CLITE_CHECK(jobs_.size() > 1, "cannot remove the last job");
     CLITE_LOG_INFO("job " << jobs_[j].profile.name << " departed");
     jobs_.erase(jobs_.begin() + long(j));
-    iso_cache_value_.erase(iso_cache_value_.begin() + long(j));
-    iso_cache_load_.erase(iso_cache_load_.begin() + long(j));
-    iso_cache_valid_.erase(iso_cache_valid_.begin() + long(j));
+    resetIsolationCache();
     applyInternal(Allocation::equalShare(jobs_.size(), config_));
     last_window_.clear();
 }

@@ -277,7 +277,8 @@ class SimulatedServer
 
     /**
      * Noise-free isolated baseline of job @p j (max-allocation
-     * extremum): p95 for LC, throughput for BG. Cached per load.
+     * extremum): p95 for LC, throughput for BG. Cached per load and
+     * job set.
      */
     workloads::JobMeasurement isolationBaseline(size_t j) const;
 
@@ -303,9 +304,11 @@ class SimulatedServer
     bool last_apply_ok_ = true;
     std::vector<JobObservation> last_window_; // for frozen counters
 
+    /** Invalidate every isolation baseline (job set changed). */
+    void resetIsolationCache();
+
     mutable std::vector<double> iso_cache_value_;
     mutable std::vector<double> iso_cache_load_;
-    mutable std::vector<bool> iso_cache_valid_;
 
     uint64_t apply_count_ = 0;
     uint64_t observe_count_ = 0;

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -37,17 +40,44 @@ makeServer()
 }
 
 core::ControllerResult
-runBudgeted(int threads)
+runBudgeted(int threads, uint64_t seed = 11, double budget_seconds = 50.0)
 {
     setGlobalThreadCount(threads);
     core::CliteOptions o;
-    o.seed = 11;
+    o.seed = seed;
     o.max_iterations = 14;
     o.polish_iterations = 3;
-    o.budget.budget_seconds = 50.0;
+    o.budget.budget_seconds = budget_seconds;
     auto server = makeServer();
     core::CliteController ctl(o);
     return ctl.run(server);
+}
+
+/**
+ * FNV-1a over every sample's allocation key, %.17g score, status and
+ * %.17g charged seconds, then the best score: a change to any decision
+ * or any charged second of the run changes it.
+ */
+uint64_t
+traceDigest(const core::ControllerResult& r)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&](const std::string& s) {
+        for (unsigned char c : s) {
+            h ^= c;
+            h *= 1099511628211ull;
+        }
+    };
+    char buf[128];
+    for (const core::SampleRecord& rec : r.trace) {
+        std::snprintf(buf, sizeof buf, "|%.17g|%d|%.17g;", rec.score,
+                      int(rec.status), rec.cost_seconds);
+        mix(rec.alloc.key());
+        mix(buf);
+    }
+    std::snprintf(buf, sizeof buf, "best %.17g", r.best_score);
+    mix(buf);
+    return h;
 }
 
 TEST(BudgetDeterminism, BudgetedSearchBitIdenticalAcrossThreadCounts)
@@ -97,6 +127,31 @@ TEST(BudgetDeterminism, BudgetedSearchBitIdenticalAcrossThreadCounts)
             << "threads=" << threads;
     }
     setGlobalThreadCount(1);
+}
+
+TEST(BudgetDeterminism, CostNormalizedTracesArePinned)
+{
+    // Budgeted runs with the default cost-normalized acquisition, whose
+    // gradient probes read means and variances from the GP probe panel.
+    // The digests were taken from the scalar per-probe implementation
+    // the panel replaced: every sample, status and charge is unchanged.
+    struct Case
+    {
+        uint64_t seed;
+        double budget;
+        int samples;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {11, 50.0, 21, 0xfb88dcf7ae47fdf6ull},
+        {12, 50.0, 15, 0xcd416b1f4f478f62ull},
+        {13, 30.0, 9, 0x088d8fb35e7a8d3dull},
+    };
+    for (const Case& c : cases) {
+        const core::ControllerResult r = runBudgeted(1, c.seed, c.budget);
+        EXPECT_EQ(r.samples, c.samples) << "seed " << c.seed;
+        EXPECT_EQ(traceDigest(r), c.digest) << "seed " << c.seed;
+    }
 }
 
 } // namespace

@@ -135,6 +135,43 @@ TEST(AsyncEngine, CleanRunCommitsEveryWindow)
     EXPECT_GT(engine.meanBgPerf(), 0.0);
 }
 
+TEST(AsyncEngine, SummaryCountsEveryCommittedReoptimization)
+{
+    // Load drift on the LC jobs makes nodes re-optimize; worker loss
+    // and stragglers make windows retry and hedge, which must not count
+    // a re-optimization twice. No node empties (the mix is feasible
+    // everywhere), so every node keeps one manager for the whole run
+    // and the managers' own counters are the reference.
+    Fleet fleet(fastFleet(4, 5));
+    admitMix(fleet);
+    AsyncOptions o;
+    o.workers = 4;
+    o.max_retries = 6;
+    o.faults.worker_loss_prob = 0.2;
+    o.fault_seed = 5;
+    AsyncFleetEngine engine(fleet, o);
+    const double loads[] = {0.6, 0.2, 0.5, 0.3};
+    engine.run(2);
+    for (double load : loads) {
+        for (const FleetJob& job : fleet.jobs())
+            if (job.spec.isLatencyCritical())
+                fleet.setJobLoad(job.id, load);
+        engine.run(4);
+    }
+
+    int managers_total = 0;
+    for (size_t n = 0; n < fleet.nodeCount(); ++n) {
+        ASSERT_FALSE(fleet.nodeJobIds(n).empty()) << "node " << n;
+        ASSERT_NE(fleet.nodeManager(n), nullptr) << "node " << n;
+        managers_total += fleet.nodeManager(n)->reoptimizations();
+    }
+    const FleetSummary s = fleet.summarize();
+    EXPECT_EQ(s.evictions, 0);
+    EXPECT_GT(managers_total, 0) << "drift never triggered a search";
+    EXPECT_GT(engine.metrics().tasks_retried, 0u);
+    EXPECT_EQ(s.reoptimizations, managers_total);
+}
+
 // ---------------------------------------------------------------------
 // Lost-worker recovery
 // ---------------------------------------------------------------------

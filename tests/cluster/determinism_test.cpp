@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "cluster/fleet.h"
+#include "cluster/manager.h"
 #include "common/thread_pool.h"
+#include "platform/server.h"
 #include "workloads/catalog.h"
 
 namespace clite {
@@ -70,6 +72,76 @@ TEST(FleetDeterminism, RepeatedRunsAreIdentical)
     std::vector<std::string> a = runScenario(5, 4);
     std::vector<std::string> b = runScenario(5, 4);
     EXPECT_EQ(a, b);
+    setGlobalThreadCount(ThreadPool::defaultThreadCount());
+}
+
+/**
+ * A small async churn episode: arrivals with a hot tenant every few
+ * windows (evictions and re-placements change node job sets), load
+ * drift, worker loss. With @p observe, every window ends with a
+ * read-only scoring pass over each node's programmed allocation, the
+ * way a benchmark or dashboard reads the fleet. Returns per-window
+ * digests.
+ */
+std::vector<std::string>
+runAsyncEpisode(bool observe)
+{
+    FleetOptions options;
+    options.nodes = 16;
+    options.seed = 9;
+    options.clite.max_iterations = 8;
+    options.clite.acquisition_starts = 2;
+    Fleet fleet(options);
+    AsyncOptions ao;
+    ao.workers = 4;
+    ao.max_retries = 6;
+    ao.faults.worker_loss_prob = 0.05;
+    ao.fault_seed = 9;
+    AsyncFleetEngine engine(fleet, ao);
+
+    const std::vector<std::string>& lc = workloads::lcWorkloadNames();
+    const std::vector<std::string>& bg = workloads::bgWorkloadNames();
+    std::vector<std::string> digests;
+    for (int w = 0; w < 12; ++w) {
+        for (size_t a = 0; a < 4; ++a) {
+            const size_t k = size_t(w) * 7 + a * 3;
+            fleet.admit(workloads::lcJob(lc[k % lc.size()],
+                                         a == 0 && w % 3 == 2 ? 1.0 : 0.25));
+            fleet.admit(workloads::bgJob(bg[k % bg.size()]));
+        }
+        if (w % 3 == 1)
+            for (const FleetJob& job : fleet.jobs())
+                if (job.state == JobState::Placed &&
+                    job.spec.isLatencyCritical() &&
+                    job.spec.load_fraction < 1.0)
+                    fleet.setJobLoad(job.id, w % 2 == 0 ? 0.45 : 0.3);
+        engine.run(1);
+        digests.push_back(fleet.digest());
+        if (!observe)
+            continue;
+        for (size_t n = 0; n < fleet.nodeCount(); ++n) {
+            const platform::SimulatedServer* server = fleet.nodeServer(n);
+            if (server != nullptr && fleet.nodeManager(n) != nullptr)
+                server->observeNoiseless(server->currentAllocation());
+        }
+    }
+    return digests;
+}
+
+TEST(FleetDeterminism, AsyncEpisodeRepeatsWhetherOrNotObserved)
+{
+    // One process, the same episode three times: observed, then twice
+    // unobserved. Reading a node must not change what it later decides,
+    // and nothing an earlier episode left behind may either.
+    setGlobalThreadCount(1);
+    const std::vector<std::string> observed = runAsyncEpisode(true);
+    const std::vector<std::string> first = runAsyncEpisode(false);
+    const std::vector<std::string> second = runAsyncEpisode(false);
+    ASSERT_EQ(observed.size(), first.size());
+    for (size_t w = 0; w < first.size(); ++w) {
+        EXPECT_EQ(observed[w], first[w]) << "window " << w + 1;
+        EXPECT_EQ(first[w], second[w]) << "window " << w + 1;
+    }
     setGlobalThreadCount(ThreadPool::defaultThreadCount());
 }
 

@@ -147,6 +147,46 @@ TEST(SimulatedServer, SetLoadRefreshesBaseline)
     EXPECT_THROW(s.setLoad(9, 0.5), Error);
 }
 
+TEST(SimulatedServer, BaselineFollowsTheJobSet)
+{
+    // A baseline gives the job everything but one unit per co-runner:
+    // after an arrival or a departure it is the extremum of the new job
+    // set, whenever it was first read.
+    SimulatedServer s = makeServer();
+    const double three_jobs = s.isolationBaseline(0).p95_ms;
+    s.addJob(workloads::bgJob("canneal"));
+    const Allocation ext4 = Allocation::maxFor(0, 4, s.config());
+    EXPECT_EQ(s.isolationBaseline(0).p95_ms,
+              s.observeNoiseless(ext4)[0].p95_ms);
+    EXPECT_GT(s.isolationBaseline(0).p95_ms, three_jobs);
+    s.removeJob(3);
+    EXPECT_EQ(s.isolationBaseline(0).p95_ms, three_jobs);
+}
+
+TEST(SimulatedServer, ReadingBetweenArrivalsChangesNothingLater)
+{
+    // Two identical servers see the same arrivals; only one is read in
+    // between. Every later observation must agree to the last bit —
+    // otherwise a benchmark's or dashboard's read-only pass would steer
+    // the fleet's decisions.
+    SimulatedServer read = makeServer(0.05, 4);
+    SimulatedServer unread = makeServer(0.05, 4);
+    for (SimulatedServer* s : {&read, &unread})
+        s->addJob(workloads::lcJob("xapian", 0.3));
+    read.observeNoiseless(read.currentAllocation());
+    for (SimulatedServer* s : {&read, &unread})
+        s->addJob(workloads::bgJob("canneal"));
+    const auto a = read.observe();
+    const auto b = unread.observe();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t j = 0; j < a.size(); ++j) {
+        EXPECT_EQ(a[j].iso_p95_ms, b[j].iso_p95_ms) << "job " << j;
+        EXPECT_EQ(a[j].iso_throughput, b[j].iso_throughput) << "job " << j;
+        EXPECT_EQ(a[j].p95_ms, b[j].p95_ms) << "job " << j;
+        EXPECT_EQ(a[j].throughput, b[j].throughput) << "job " << j;
+    }
+}
+
 TEST(SimulatedServer, IsolationSettingsExposeDriverState)
 {
     SimulatedServer s = makeServer();
